@@ -64,13 +64,19 @@ class _SecondAggregate:
         tres = np.bincount(idx, weights=batch.response_ms)
         rows = np.bincount(idx, weights=batch.examined_rows)
         nz = np.nonzero(counts)[0]
-        self._grow(len(nz))
-        dest = slice(self._n, self._n + len(nz))
-        self._sec[dest] = base + nz
-        self._count[dest] = counts[nz]
-        self._tres[dest] = tres[nz]
-        self._rows[dest] = rows[nz]
-        self._n += len(nz)
+        self.extend(base + nz, counts[nz], tres[nz], rows[nz])
+
+    def extend(
+        self, sec: np.ndarray, count: np.ndarray, tres: np.ndarray, rows: np.ndarray
+    ) -> None:
+        """Append already-summed per-second rows (ascending ``sec``)."""
+        self._grow(len(sec))
+        dest = slice(self._n, self._n + len(sec))
+        self._sec[dest] = sec
+        self._count[dest] = count
+        self._tres[dest] = tres
+        self._rows[dest] = rows
+        self._n += len(sec)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = self._n
@@ -157,13 +163,20 @@ class LogStore:
     # Ingest
     # ------------------------------------------------------------------
     def _index_batch(self, sql_id: str, batch: SecondBatch) -> None:
+        self._index_span(sql_id, batch).add_batch(batch)
+
+    def _index_span(self, sql_id: str, batch: SecondBatch) -> _SecondAggregate:
+        """Index a batch's time span; returns the template's roll-up."""
         start, end = int(batch.arrive_ms[0]), int(batch.arrive_ms[-1])
         ends = self._ends.setdefault(sql_id, [])
         if ends and start < ends[-1]:
             self._chronological[sql_id] = False
         self._starts.setdefault(sql_id, []).append(start)
         ends.append(end)
-        self._aggregates.setdefault(sql_id, _SecondAggregate()).add_batch(batch)
+        aggregate = self._aggregates.get(sql_id)
+        if aggregate is None:
+            aggregate = self._aggregates[sql_id] = _SecondAggregate()
+        return aggregate
 
     def _reindex(self, sql_id: str) -> None:
         """Rebuild a template's batch index from its current batches."""
@@ -209,16 +222,54 @@ class LogStore:
     def ingest_block(self, block) -> int:
         """Absorb one columnar :class:`~repro.collection.blocks.QueryLogBlock`.
 
-        The block is split into per-template, arrival-ordered batches in
-        one vectorized pass (a single argsort over the block) and each
-        batch is ingested exactly like the per-record path — the
-        aggregates come out bit-identical.  Returns queries stored.
+        The block is sorted by ``(template, arrive_ms)`` once and rolled
+        up per (template, second) in one pass: segment ids over the
+        sorted rows, then one ``bincount`` per column.  ``bincount``
+        adds each segment's rows in sorted order, the same additions in
+        the same order as :meth:`ingest_batch` on each template's batch,
+        so the roll-ups are bit-identical to the per-record path.  Only
+        the per-template appends stay a Python loop.  Returns queries
+        stored.
         """
-        stored = 0
-        for batch in block.iter_template_batches():
-            self.ingest_batch(batch)
-            stored += len(batch)
-        return stored
+        n = len(block)
+        if n == 0:
+            return 0
+        codes, starts, ends, arrive, resp, rows = block._split()
+        seconds = arrive // 1000
+        new_segment = np.empty(n, dtype=bool)
+        new_segment[0] = True
+        np.not_equal(seconds[1:], seconds[:-1], out=new_segment[1:])
+        new_segment[starts] = True
+        segment = np.cumsum(new_segment) - 1
+        seg_sec = seconds[new_segment]
+        seg_count = np.bincount(segment)
+        seg_tres = np.bincount(segment, weights=resp)
+        seg_rows = np.bincount(segment, weights=rows)
+        seg_lo = segment[starts].tolist()
+        seg_hi = (segment[ends - 1] + 1).tolist()
+        for code, lo, hi, s_lo, s_hi in zip(
+            codes.tolist(), starts.tolist(), ends.tolist(), seg_lo, seg_hi
+        ):
+            sql_id = block.sql_ids[code]
+            batch = SecondBatch(
+                sql_id=sql_id,
+                arrive_ms=arrive[lo:hi],
+                response_ms=resp[lo:hi],
+                examined_rows=rows[lo:hi],
+            )
+            self._batches.setdefault(sql_id, []).append(batch)
+            self._index_span(sql_id, batch).extend(
+                seg_sec[s_lo:s_hi],
+                seg_count[s_lo:s_hi],
+                seg_tres[s_lo:s_hi],
+                seg_rows[s_lo:s_hi],
+            )
+        self._m_batches.inc(len(starts))
+        self._m_queries.inc(n)
+        self._resident_bytes += arrive.nbytes + resp.nbytes + rows.nbytes
+        self._g_bytes.set(self._resident_bytes)
+        self._g_templates.set(len(self._batches))
+        return n
 
     # ------------------------------------------------------------------
     # Query

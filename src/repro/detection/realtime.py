@@ -72,20 +72,22 @@ class _MetricBuffer:
         Missing samples are forward-filled; leading gaps shrink the
         window.  Returns None when fewer than a handful of samples exist.
         """
-        cutoff = now - self.window_s
-        timestamps = sorted(t for t in self.samples if cutoff < t <= now)
-        if len(timestamps) < 8:
+        n = len(self.samples)
+        timestamps = np.fromiter(self.samples.keys(), dtype=np.int64, count=n)
+        values = np.fromiter(self.samples.values(), dtype=np.float64, count=n)
+        in_window = (timestamps > now - self.window_s) & (timestamps <= now)
+        if np.count_nonzero(in_window) < 8:
             return None
-        start = timestamps[0]
-        values = np.empty(now - start + 1, dtype=np.float64)
-        last = self.samples[timestamps[0]]
-        idx = 0
-        for t in range(start, now + 1):
-            if t in self.samples:
-                last = self.samples[t]
-            values[idx] = last
-            idx += 1
-        return TimeSeries(values, start=start)
+        timestamps = timestamps[in_window]
+        order = np.argsort(timestamps)
+        timestamps = timestamps[order]
+        values = values[in_window][order]
+        start = int(timestamps[0])
+        # Each second takes the latest sample at or before it.
+        latest = np.searchsorted(
+            timestamps, np.arange(start, now + 1), side="right"
+        ) - 1
+        return TimeSeries(values[latest], start=start)
 
 
 class RealtimeAnomalyDetector:

@@ -12,9 +12,12 @@ diagnosis counts.
 into block frames and dispatched one instance at a time to the
 long-lived processes of a
 :class:`~repro.fleet.workers.PersistentWorkerPool` (see that module).
-``processes <= 1`` replays in-process through the legacy per-record
-path, byte-for-byte identical to what :func:`run_shard` has always
-produced — the shared code path callers use regardless of cores.
+``processes <= 1`` runs in-process: :class:`InstanceFeed` entries
+replay through the legacy per-record path, byte-for-byte identical to
+what :func:`run_shard` has always produced, and pre-columnarised
+:class:`~repro.fleet.workers.BlockFeed` entries run through the same
+:func:`~repro.fleet.workers.execute_work_item` body the pool's workers
+use — the shared code path callers use regardless of cores.
 
 This mirrors production, where diagnosis workers are separate machines
 consuming a shared Kafka: the message stream is the interface, never
@@ -25,17 +28,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - chaos wraps fleet, import lazily
     from repro.chaos.plan import FaultPlan
+    from repro.fleet.workers import WorkItem
 
 from repro.collection.collector import METRIC_TOPIC, QUERY_TOPIC
 from repro.collection.stream import Broker, instance_topic
 from repro.fleet.engine import ServiceConfig
 from repro.fleet.scheduler import stable_shard
 from repro.fleet.service import FleetConfig, FleetDiagnosisService
-from repro.telemetry import get_logger, get_registry
+from repro.telemetry import get_logger, get_registry, get_tracer
 
 _log = get_logger("fleet")
 
@@ -161,9 +165,24 @@ def run_shard_supervised(
     complete is abandoned with a warning (its instances report zero
     diagnoses) rather than failing the whole fleet run.
     """
+    return _supervised(
+        run_shard, task, max_restarts, [feed.instance_id for feed in task.feeds]
+    )
+
+
+_Task = TypeVar("_Task", "ShardTask", "WorkItem")
+
+
+def _supervised(
+    run: Callable[[_Task], dict[str, int]],
+    task: _Task,
+    max_restarts: int,
+    instance_ids: list[str],
+) -> dict[str, int]:
+    """``run(task)`` restarted on failure with a bumped ``attempt``."""
     while True:
         try:
-            return run_shard(task)
+            return run(task)
         except Exception:
             if task.attempt >= max_restarts:
                 _log.warning(
@@ -171,9 +190,24 @@ def run_shard_supervised(
                     extra={"shard": task.shard_key, "attempts": task.attempt},
                     exc_info=True,
                 )
-                return {feed.instance_id: 0 for feed in task.feeds}
+                return {instance_id: 0 for instance_id in instance_ids}
             task = replace(task, attempt=task.attempt + 1)
             _count_shard_restart(task.shard_key)
+
+
+def _run_work_item_inline(item: "WorkItem") -> dict[str, int]:
+    """One work item in this process, its telemetry folded into ours."""
+    from repro.fleet.workers import execute_work_item, merge_export
+
+    try:
+        export = execute_work_item(item)
+    except Exception as exc:
+        merge_export(
+            getattr(exc, "partial_export", None), get_registry(), get_tracer()
+        )
+        raise
+    merge_export(export, get_registry(), get_tracer())
+    return export["counts"]
 
 
 def run_sharded(
@@ -207,25 +241,45 @@ def run_sharded(
     :class:`InstanceFeed` and pre-columnarised
     :class:`~repro.fleet.workers.BlockFeed` entries.
     """
-    if processes <= 1:
-        shard_dir = None
-        if incident_dir is not None:
-            shard_dir = str(Path(incident_dir) / "shard-00")
-        return run_shard_supervised(
-            ShardTask(
-                feeds=feeds,
-                config=config,
-                incident_dir=shard_dir,
-                fault_plan=fault_plan,
-            ),
-            max_restarts=max_restarts,
-        )
     from repro.fleet.workers import (
         BlockFeed,
         PersistentWorkerPool,
         WorkItem,
         columnarize_feed,
     )
+
+    if processes <= 1:
+        shard_dir = None
+        if incident_dir is not None:
+            shard_dir = str(Path(incident_dir) / "shard-00")
+        record_feeds = [f for f in feeds if not isinstance(f, BlockFeed)]
+        counts: dict[str, int] = {}
+        if record_feeds:
+            counts.update(
+                run_shard_supervised(
+                    ShardTask(
+                        feeds=record_feeds,
+                        config=config,
+                        incident_dir=shard_dir,
+                        fault_plan=fault_plan,
+                    ),
+                    max_restarts=max_restarts,
+                )
+            )
+        for feed in feeds:
+            if isinstance(feed, BlockFeed):
+                item = WorkItem(
+                    feed=feed,
+                    config=config,
+                    incident_dir=shard_dir,
+                    fault_plan=fault_plan,
+                )
+                counts.update(
+                    _supervised(
+                        _run_work_item_inline, item, max_restarts, [feed.instance_id]
+                    )
+                )
+        return counts
 
     items = []
     for feed in feeds:

@@ -92,6 +92,7 @@ __all__ = [
     "block_feed_from_broker",
     "columnarize_feed",
     "execute_work_item",
+    "merge_export",
     "process_work_item",
 ]
 
@@ -338,6 +339,23 @@ def execute_work_item(
     return _export_envelope(service, registry, counts=counts)
 
 
+def merge_export(export: Any, registry: MetricsRegistry, tracer: Tracer) -> None:
+    """Fold a work item's export envelope into a parent's view."""
+    if not isinstance(export, dict):
+        return
+    spans = export.get("spans")
+    if spans:
+        adopted = tracer.adopt(spans)
+        if adopted:
+            registry.counter(
+                "fleet_spans_imported_total",
+                help="Spans adopted from shard worker processes.",
+            ).inc(adopted)
+    snapshot = export.get("telemetry")
+    if isinstance(snapshot, dict):
+        registry.merge_snapshot(snapshot)
+
+
 def process_work_item(item: WorkItem) -> dict[str, int]:
     """Diagnose one work item in-process; returns diagnoses per instance.
 
@@ -451,19 +469,7 @@ class PersistentWorkerPool:
     # -- cross-process observability ----------------------------------
     def _merge_export(self, export: Any) -> None:
         """Fold a worker's export envelope into the parent's view."""
-        if not isinstance(export, dict):
-            return
-        spans = export.get("spans")
-        if spans:
-            adopted = self.tracer.adopt(spans)
-            if adopted:
-                self.registry.counter(
-                    "fleet_spans_imported_total",
-                    help="Spans adopted from shard worker processes.",
-                ).inc(adopted)
-        snapshot = export.get("telemetry")
-        if isinstance(snapshot, dict):
-            self.registry.merge_snapshot(snapshot)
+        merge_export(export, self.registry, self.tracer)
 
     def _flush_crashed_item(self, item: WorkItem, exitcode: Any) -> None:
         """Account for spans lost with a dead worker process.

@@ -9,6 +9,7 @@ ingestion actually goes out of order.
 """
 
 import numpy as np
+import pytest
 
 from repro.collection import (
     Broker,
@@ -18,6 +19,7 @@ from repro.collection import (
     aggregate_query_log,
     query_block_from_log,
 )
+from repro.collection.blocks import QUERY_BLOCK_DTYPE, QueryLogBlock
 from repro.dbsim import QueryLog, SecondBatch
 from repro.telemetry import MetricsRegistry
 
@@ -198,3 +200,161 @@ class TestFullScanFallbackTelemetry:
         store.queries_in_window("q1", 0, 30)
         store.second_aggregates("q1", 0, 30)
         assert counter.value == 2
+
+
+def make_tied_block(seed=11, templates=5, seconds=400, rows=3_000, instance="db-a"):
+    """A shuffled block over many seconds with duplicate arrivals.
+
+    Arrivals are drawn from a coarse grid so many rows of a template
+    share one ``arrive_ms``; the row order is random, so the block's
+    split has to sort and keep tied rows in their row order.
+    """
+    rng = np.random.default_rng(seed)
+    data = np.empty(rows, dtype=QUERY_BLOCK_DTYPE)
+    data["template"] = rng.integers(0, templates, size=rows)
+    data["arrive_ms"] = rng.integers(0, seconds * 4, size=rows) * 250
+    data["response_ms"] = rng.uniform(0.1, 80.0, size=rows)
+    data["examined_rows"] = rng.uniform(1.0, 9e5, size=rows)
+    return QueryLogBlock(
+        sql_ids=tuple(f"t{i}" for i in range(templates)),
+        data=data,
+        instance=instance,
+    )
+
+
+def template_rows(block):
+    """Each template's rows in ``(template, arrive_ms)`` lexsort order."""
+    data = block.data
+    ordered = data[np.lexsort((data["arrive_ms"], data["template"]))]
+    for code, sql_id in enumerate(block.sql_ids):
+        rows = ordered[ordered["template"] == code]
+        if len(rows):
+            yield sql_id, rows
+
+
+def ingest_per_second_records(block):
+    """One ``ingest_batch`` per (template, second): the wire-format path."""
+    store = LogStore(registry=MetricsRegistry())
+    for sql_id, rows in template_rows(block):
+        seconds = rows["arrive_ms"] // 1000
+        for s in np.unique(seconds):
+            sel = rows[seconds == s]
+            store.ingest_batch(
+                SecondBatch(
+                    sql_id,
+                    sel["arrive_ms"].copy(),
+                    sel["response_ms"].copy(),
+                    sel["examined_rows"].copy(),
+                )
+            )
+    return store
+
+
+def logstore_series(registry):
+    snapshot = registry.snapshot()
+    return [
+        entry
+        for kind in ("counters", "gauges")
+        for entry in snapshot[kind]
+        if entry["name"].startswith("logstore_")
+    ]
+
+
+def assert_same_contents(a, b, t0, t1):
+    assert sorted(a.sql_ids) == sorted(b.sql_ids)
+    for sql_id in a.sql_ids:
+        for x, y in zip(
+            a.second_aggregates(sql_id, t0, t1), b.second_aggregates(sql_id, t0, t1)
+        ):
+            assert x.tobytes() == y.tobytes()
+        qa = a.queries_in_window(sql_id, t0, t1)
+        qb = b.queries_in_window(sql_id, t0, t1)
+        assert qa.arrive_ms.tobytes() == qb.arrive_ms.tobytes()
+        assert qa.response_ms.tobytes() == qb.response_ms.tobytes()
+        assert qa.examined_rows.tobytes() == qb.examined_rows.tobytes()
+
+
+class TestBlockRollupEquivalence:
+    """The one-pass block roll-up against the per-batch ingest paths."""
+
+    # One second: every template's rows share it, so the roll-up must
+    # split segments at template boundaries, not only at new seconds.
+    @pytest.mark.parametrize("seconds", [400, 1])
+    def test_tied_block_matches_per_second_records(self, seconds):
+        block = make_tied_block(seconds=seconds)
+        from_block = LogStore(registry=MetricsRegistry())
+        assert from_block.ingest_block(block) == len(block)
+        from_records = ingest_per_second_records(block)
+        for t0, t1 in ((0, 400), (37, 211), (399, 400), (-5, 3), (350, 900)):
+            assert_same_contents(from_block, from_records, t0, t1)
+        assert from_block.total_queries() == from_records.total_queries()
+        assert from_block.resident_bytes == from_records.resident_bytes
+
+    def test_counters_and_gauges_match_per_batch_ingest(self):
+        blocks = [
+            make_tied_block(seed=5, templates=9, seconds=120),
+            make_tied_block(seed=6, templates=7, seconds=120),
+        ]
+        block_registry, batch_registry = MetricsRegistry(), MetricsRegistry()
+        from_block = LogStore(registry=block_registry, instance_id="db-a")
+        reference = LogStore(registry=batch_registry, instance_id="db-a")
+        for block in blocks:
+            from_block.ingest_block(block)
+            for sql_id, rows in template_rows(block):
+                reference.ingest_batch(
+                    SecondBatch(
+                        sql_id,
+                        rows["arrive_ms"],
+                        rows["response_ms"],
+                        rows["examined_rows"],
+                    )
+                )
+        assert from_block.resident_bytes == reference.resident_bytes
+        assert logstore_series(block_registry) == logstore_series(batch_registry)
+        assert_same_contents(from_block, reference, 0, 120)
+
+    def test_repeated_ingest_keeps_matching_per_second_records(self):
+        # Consecutive minute blocks, the streaming shape: each block is
+        # the next window of every template.
+        blocks = []
+        for minute in range(4):
+            block = make_tied_block(seed=20 + minute, seconds=60)
+            data = block.data.copy()
+            data["arrive_ms"] += minute * 60_000
+            blocks.append(QueryLogBlock(sql_ids=block.sql_ids, data=data))
+        from_block = LogStore(registry=MetricsRegistry())
+        from_records = LogStore(registry=MetricsRegistry())
+        for block in blocks:
+            from_block.ingest_block(block)
+            reference = ingest_per_second_records(block)
+            for sql_id in reference.sql_ids:
+                for batch in reference._batches[sql_id]:
+                    from_records.ingest_batch(batch)
+        assert_same_contents(from_block, from_records, 0, 240)
+        assert_same_contents(from_block, from_records, 59, 181)
+
+
+class TestOutOfOrderBlocks:
+    def test_late_block_clears_index_and_counts_fullscans(self):
+        registry = MetricsRegistry()
+        store = LogStore(registry=registry)
+        early = make_tied_block(seed=3, templates=2, seconds=30)
+        shifted = early.data.copy()
+        shifted["arrive_ms"] += 60_000
+        late = QueryLogBlock(sql_ids=early.sql_ids, data=shifted)
+        store.ingest_block(late)
+        store.ingest_block(early)  # earlier data after later: out of order
+        assert store._chronological == {"t0": False, "t1": False}
+        counter = registry.get("logstore_fullscan_reads_total")
+        assert counter.value == 0  # ingestion alone does not scan
+
+        reference = LogStore(registry=MetricsRegistry())
+        for block in (late, early):
+            for batch in block.iter_template_batches():
+                reference.ingest_batch(batch)
+        assert_same_contents(store, reference, 0, 90)
+        # Two templates, one window read and one aggregate read each.
+        assert counter.value == 4
+        tq = store.queries_in_window("t0", 0, 90)
+        assert (np.diff(tq.arrive_ms) >= 0).all()
+        assert counter.value == 5

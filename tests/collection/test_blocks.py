@@ -359,3 +359,144 @@ class TestCodecProperties:
         cut = min(cut, len(raw) - 1)
         with pytest.raises(BlockDecodeError):
             decode_block(raw[:-cut])
+
+
+@st.composite
+def split_columns(draw, max_rows=60):
+    """``(codes, times)`` columns rich in ties and out-of-order rows.
+
+    Narrow time ranges force duplicate (code, time) pairs; the wide
+    range pushes ``n_codes * span * n`` past int64 so the ``lexsort``
+    fallback runs too.
+    """
+    n_rows = draw(st.integers(min_value=0, max_value=max_rows))
+    n_codes = draw(st.integers(min_value=1, max_value=6))
+    t_max = draw(st.sampled_from([0, 3, 50, 10**9, 2**62]))
+    codes = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n_codes - 1),
+            min_size=n_rows,
+            max_size=n_rows,
+        )
+    )
+    times = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=t_max),
+            min_size=n_rows,
+            max_size=n_rows,
+        )
+    )
+    return np.asarray(codes, dtype=np.int32), np.asarray(times, dtype=np.int64)
+
+
+def _split_query_block(codes, times):
+    data = np.empty(len(codes), dtype=QUERY_BLOCK_DTYPE)
+    data["template"] = codes
+    data["arrive_ms"] = times
+    # Row numbers as payload make the order of tied rows observable.
+    data["response_ms"] = np.arange(len(codes))
+    data["examined_rows"] = -np.arange(len(codes), dtype=np.float64)
+    n_templates = int(codes.max()) + 1 if len(codes) else 1
+    return QueryLogBlock(
+        sql_ids=tuple(f"q{i}" for i in range(n_templates)), data=data
+    )
+
+
+def _split_metric_block(codes, times):
+    data = np.empty(len(codes), dtype=METRIC_BLOCK_DTYPE)
+    data["metric"] = codes
+    data["timestamp"] = times
+    data["value"] = np.arange(len(codes))
+    n_metrics = int(codes.max()) + 1 if len(codes) else 1
+    return MetricBlock(metrics=tuple(f"m{i}" for i in range(n_metrics)), data=data)
+
+
+class TestSplitOrder:
+    """Block splitting must order rows exactly as ``np.lexsort`` does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(columns=split_columns())
+    def test_order_is_lexsort_order(self, columns):
+        from repro.collection.blocks import _lexsort_order
+
+        codes, times = columns
+        np.testing.assert_array_equal(
+            _lexsort_order(codes, times), np.lexsort((times, codes))
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(columns=split_columns())
+    def test_query_block_batches_follow_lexsort(self, columns):
+        codes, times = columns
+        block = _split_query_block(codes, times)
+        expected = block.data[np.lexsort((times, codes))]
+        batches = list(block.iter_template_batches())
+        assert [b.sql_id for b in batches] == [
+            f"q{c}" for c in np.unique(codes).tolist()
+        ]
+        if not batches:
+            assert len(block) == 0
+            return
+        np.testing.assert_array_equal(
+            np.concatenate([b.arrive_ms for b in batches]), expected["arrive_ms"]
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([b.response_ms for b in batches]),
+            expected["response_ms"],
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([b.examined_rows for b in batches]),
+            expected["examined_rows"],
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(columns=split_columns())
+    def test_metric_block_series_follow_lexsort(self, columns):
+        codes, times = columns
+        block = _split_metric_block(codes, times)
+        expected = block.data[np.lexsort((times, codes))]
+        series = list(block.iter_metric_series())
+        assert [name for name, _, _ in series] == [
+            f"m{c}" for c in np.unique(codes).tolist()
+        ]
+        if not series:
+            assert len(block) == 0
+            return
+        np.testing.assert_array_equal(
+            np.concatenate([ts for _, ts, _ in series]), expected["timestamp"]
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([v for _, _, v in series]), expected["value"]
+        )
+
+    def test_single_row_and_empty_blocks(self):
+        one = _split_query_block(np.array([2], np.int32), np.array([7], np.int64))
+        (batch,) = one.iter_template_batches()
+        assert batch.sql_id == "q2"
+        np.testing.assert_array_equal(batch.arrive_ms, [7])
+        empty_codes = np.zeros(0, np.int32)
+        empty_times = np.zeros(0, np.int64)
+        assert list(_split_query_block(empty_codes, empty_times).iter_template_batches()) == []
+        assert list(_split_metric_block(empty_codes, empty_times).iter_metric_series()) == []
+
+    def test_overflowing_key_takes_the_lexsort_fallback(self, monkeypatch):
+        from repro.collection.blocks import _lexsort_order
+
+        calls = []
+        real_lexsort = np.lexsort
+
+        def spy(keys):
+            calls.append(len(keys[0]))
+            return real_lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        narrow_codes = np.array([1, 0, 1, 0], np.int32)
+        narrow_times = np.array([5, 5, 2, 9], np.int64)
+        _lexsort_order(narrow_codes, narrow_times)
+        assert calls == []
+        # 3 codes x 2**62 ms x 4 rows is past int64.
+        wide_codes = np.array([2, 0, 1, 0], np.int32)
+        wide_times = np.array([0, 2**62, 2**62, 0], np.int64)
+        order = _lexsort_order(wide_codes, wide_times)
+        assert calls == [4]
+        np.testing.assert_array_equal(order, [3, 1, 2, 0])

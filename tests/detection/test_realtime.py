@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.collection import Broker, MetricsCollector
 from repro.dbsim.monitor import InstanceMetrics
@@ -20,6 +22,25 @@ def quiet_then_spike(n=1200, at=(900, 1000), seed=0, loc=10.0):
     values = loc + np.random.default_rng(seed).normal(size=n)
     values[at[0]:at[1]] += 80.0
     return values
+
+
+def _forward_fill_reference(samples, window_s, now):
+    """``(start, values)`` of the window ending at ``now``, or None.
+
+    The plain-Python definition: samples in ``(now - window_s, now]``,
+    the series starts at the first of them, and every second carries
+    the latest sample at or before it.
+    """
+    timestamps = sorted(t for t in samples if now - window_s < t <= now)
+    if len(timestamps) < 8:
+        return None
+    start = timestamps[0]
+    values = []
+    last = samples[start]
+    for t in range(start, now + 1):
+        last = samples.get(t, last)
+        values.append(last)
+    return start, np.asarray(values, dtype=np.float64)
 
 
 class TestRealtimeDetection:
@@ -124,6 +145,52 @@ class TestBufferGapHandling:
         for t in range(3):
             buffer.add(t, 1.0)
         assert buffer.series(now=3) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        window_s=st.integers(min_value=1, max_value=60),
+        now=st.integers(min_value=0, max_value=200),
+        samples=st.dictionaries(
+            st.integers(min_value=0, max_value=260),
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            max_size=120,
+        ),
+    )
+    def test_series_matches_python_forward_fill(self, window_s, now, samples):
+        """Gaps, samples outside the window (both sides), the exact
+        window edges and sparse buffers all agree with a plain loop."""
+        from repro.detection.realtime import _MetricBuffer
+
+        # Pin both window edges: ``now - window_s`` is excluded,
+        # ``now`` is included.
+        samples.setdefault(now - window_s, -1.0)
+        samples.setdefault(now, 1.0)
+        buffer = _MetricBuffer(window_s=window_s, samples=samples)
+        expected = _forward_fill_reference(samples, window_s, now)
+        series = buffer.series(now)
+        if expected is None:
+            assert series is None
+            return
+        start, values = expected
+        assert series is not None
+        assert series.start == start
+        np.testing.assert_array_equal(series.values, values)
+
+    @pytest.mark.parametrize("n_samples", range(8))
+    def test_fewer_than_eight_window_samples_return_none(self, n_samples):
+        from repro.detection.realtime import _MetricBuffer
+
+        buffer = _MetricBuffer(window_s=20)  # window (10, 30] at now=30
+        for t in range(n_samples):
+            buffer.add(11 + 2 * t, float(t))
+        # Samples outside the window, the excluded edge included, must
+        # not count towards the eight.
+        for t in range(11):
+            buffer.add(t, 5.0)
+        buffer.add(31, 5.0)
+        assert buffer.series(now=30) is None
+        buffer.add(30, 1.0)
+        assert (buffer.series(now=30) is None) == (n_samples < 7)
 
     def test_trim_discards_old_samples(self):
         from repro.detection.realtime import _MetricBuffer

@@ -5,6 +5,7 @@ import pickle
 from repro.fleet import (
     InstanceFeed,
     ShardTask,
+    block_feed_from_broker,
     feed_from_broker,
     run_shard,
     run_sharded,
@@ -44,6 +45,31 @@ class TestRunShard:
         broker, _, _ = fleet_stream
         feeds = [feed_from_broker(broker, i) for i in INSTANCE_IDS]
         assert run_sharded(feeds, processes=1) == run_shard(ShardTask(feeds=feeds))
+
+    def test_inline_block_feeds_match_the_process_pool(self, fleet_stream):
+        """``processes=1`` used to replay only a BlockFeed's (empty)
+        per-record leftovers and report zero diagnoses for every
+        instance; block feeds must diagnose the same in or out of
+        process."""
+        broker, _, _ = fleet_stream
+        feeds = [block_feed_from_broker(broker, i) for i in INSTANCE_IDS]
+        inline = run_sharded(feeds, processes=1)
+        pooled = run_sharded(feeds, processes=2)
+        assert inline == pooled
+        for instance_id in ANOMALOUS:
+            assert inline[instance_id] >= 1
+
+    def test_inline_path_accepts_mixed_feed_types(self, fleet_stream):
+        broker, _, _ = fleet_stream
+        record_feeds = [feed_from_broker(broker, i) for i in INSTANCE_IDS]
+        mixed = [
+            record_feeds[0],
+            block_feed_from_broker(broker, INSTANCE_IDS[1]),
+            record_feeds[2],
+        ]
+        assert run_sharded(mixed, processes=1) == run_shard(
+            ShardTask(feeds=record_feeds)
+        )
 
     def test_shard_partition_is_stable(self):
         feeds = [InstanceFeed(instance_id=f"db-{i}") for i in range(8)]
