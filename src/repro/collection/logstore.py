@@ -286,42 +286,73 @@ class LogStore:
     def total_queries(self) -> int:
         return sum(len(b) for batches in self._batches.values() for b in batches)
 
-    def queries_in_window(self, sql_id: str, t0: int, t1: int) -> TemplateQueries:
-        """Queries of a template arriving within [t0, t1) (seconds)."""
+    def _window_parts(
+        self, sql_id: str, t0: int, t1: int
+    ) -> list[tuple[SecondBatch, slice | np.ndarray]]:
+        """Stored batches of a template holding arrivals in [t0, t1) (seconds).
+
+        Each batch comes with the index of its rows inside the window: a
+        whole-batch slice for interior batches, else a row mask.
+        Chronological templates bisect the batch index to the overlapping
+        batches; out-of-order templates scan every batch and count one
+        full-scan read.
+        """
         batches = self._batches.get(sql_id, [])
         lo_ms, hi_ms = t0 * 1000, t1 * 1000
         indexed = self._chronological.get(sql_id, True)
+        starts, ends = self._starts.get(sql_id, []), self._ends.get(sql_id, [])
         if indexed and batches:
-            starts, ends = self._starts[sql_id], self._ends[sql_id]
-            # Only batches overlapping the window; interior batches (all
-            # arrivals inside it) skip the mask entirely.
             span = range(bisect_left(ends, lo_ms), bisect_left(starts, hi_ms))
         else:
             if batches:
                 self._m_fullscans.inc()
             span = range(len(batches))
-        arrives, resps, rows = [], [], []
+        parts: list[tuple[SecondBatch, slice | np.ndarray]] = []
         for i in span:
             batch = batches[i]
-            if indexed and self._starts[sql_id][i] >= lo_ms and self._ends[sql_id][i] < hi_ms:
-                arrives.append(batch.arrive_ms)
-                resps.append(batch.response_ms)
-                rows.append(batch.examined_rows)
+            if indexed and starts[i] >= lo_ms and ends[i] < hi_ms:
+                parts.append((batch, slice(None)))
                 continue
             mask = (batch.arrive_ms >= lo_ms) & (batch.arrive_ms < hi_ms)
             if mask.any():
-                arrives.append(batch.arrive_ms[mask])
-                resps.append(batch.response_ms[mask])
-                rows.append(batch.examined_rows[mask])
-        if not arrives:
+                parts.append((batch, mask))
+        return parts
+
+    def queries_in_window(self, sql_id: str, t0: int, t1: int) -> TemplateQueries:
+        """Queries of a template arriving within [t0, t1) (seconds), time-ordered."""
+        parts = self._window_parts(sql_id, t0, t1)
+        if not parts:
             empty_i = np.zeros(0, dtype=np.int64)
             empty_f = np.zeros(0, dtype=np.float64)
             return TemplateQueries(sql_id, empty_i, empty_f, empty_f.copy())
-        arrive = np.concatenate(arrives)
-        resp = np.concatenate(resps)
-        examined = np.concatenate(rows)
+        arrive = np.concatenate([b.arrive_ms[keep] for b, keep in parts])
+        resp = np.concatenate([b.response_ms[keep] for b, keep in parts])
+        examined = np.concatenate([b.examined_rows[keep] for b, keep in parts])
         order = np.argsort(arrive, kind="stable")
         return TemplateQueries(sql_id, arrive[order], resp[order], examined[order])
+
+    def window_columns(
+        self, sql_ids: list[str], t0: int, t1: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrivals and response times of several templates over [t0, t1).
+
+        Returns ``(lengths, arrive_ms, response_ms)``: ``lengths[i]`` rows
+        of ``sql_ids[i]``, the templates' rows back to back in
+        ``sql_ids`` order.  Within a template the rows keep storage order
+        and are not sorted: the session estimator only histograms them,
+        and one concatenation replaces a sort per template.  Unknown
+        templates get zero rows.
+        """
+        lengths = np.zeros(len(sql_ids), dtype=np.int64)
+        arrives, resps = [], []
+        for i, sql_id in enumerate(sql_ids):
+            for batch, keep in self._window_parts(sql_id, t0, t1):
+                arrives.append(batch.arrive_ms[keep])
+                resps.append(batch.response_ms[keep])
+                lengths[i] += len(arrives[-1])
+        if not arrives:
+            return lengths, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+        return lengths, np.concatenate(arrives), np.concatenate(resps)
 
     def second_aggregates(
         self, sql_id: str, t0: int, t1: int

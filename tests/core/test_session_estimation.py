@@ -200,3 +200,92 @@ class TestMultiSecondSpan:
     def test_invalid_span(self):
         with pytest.raises(ValueError):
             SessionEstimator(span_seconds=0)
+
+
+def _shifted_case(shift_s):
+    """Three templates over 40 s whose times all move by ``shift_s`` seconds."""
+    rng = np.random.default_rng(11)
+    store = LogStore()
+    for t in range(3):
+        n_queries = 20_000
+        arrive = np.sort(rng.integers(-20_000, 40_000, n_queries)) + shift_s * 1000
+        resp = rng.exponential(150.0 * (t + 1), n_queries) + 0.25
+        store.ingest_batch(SecondBatch(f"T{t}", arrive, resp, np.ones(n_queries)))
+    observed = TimeSeries(rng.integers(0, 30, 40).astype(float), start=shift_s)
+    return store, observed
+
+
+class TestEpochTimestamps:
+    """Real logs carry epoch ms (~1.7e12); results must not depend on the epoch."""
+
+    def test_coverage_function_shift_invariant(self):
+        rng = np.random.default_rng(3)
+        arrive = np.sort(rng.integers(0, 60_000, 500_000)).astype(np.int64)
+        resp = rng.exponential(400.0, 500_000) + 0.5
+        edges = np.arange(0, 60_000, 100, dtype=np.int64)
+        base = CoverageFunction(arrive, resp).expected_session(edges[:-1], edges[1:])
+        shift = 1_700_000_000_000
+        moved = CoverageFunction(arrive + shift, resp).expected_session(
+            edges[:-1] + shift, edges[1:] + shift
+        )
+        np.testing.assert_allclose(moved, base, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "estimator",
+        [
+            SessionEstimator(SessionEstimationMode.BUCKETS, buckets=10),
+            SessionEstimator(SessionEstimationMode.BUCKETS, buckets=3, span_seconds=2),
+            SessionEstimator(SessionEstimationMode.NO_BUCKETS),
+            SessionEstimator(SessionEstimationMode.RESPONSE_TIME),
+        ],
+        ids=["buckets", "buckets-k3-span2", "no-buckets", "response-time"],
+    )
+    def test_estimator_shift_invariant(self, estimator):
+        ids = ["T0", "T1", "T2"]
+        store, observed = _shifted_case(0)
+        base = estimator.estimate(store, ids, observed)
+        store, observed = _shifted_case(1_700_000_000)
+        moved = estimator.estimate(store, ids, observed)
+        np.testing.assert_array_equal(moved.selected_buckets, base.selected_buckets)
+        for sql_id in ids:
+            np.testing.assert_allclose(
+                moved.get(sql_id).values, base.get(sql_id).values, rtol=0, atol=1e-9
+            )
+        np.testing.assert_allclose(moved.total.values, base.total.values, rtol=0, atol=1e-9)
+        assert moved.total.start == observed.start
+
+
+class TestResponseTimeMode:
+    def test_matches_per_template_reference(self):
+        rng = np.random.default_rng(21)
+        store = LogStore()
+        # Per-second batches, one late (out-of-order) batch, and a
+        # template with queries only outside the window.
+        for t in range(4):
+            for s in range(0, 50, 1 + t):
+                k = int(rng.integers(1, 9))
+                arrive = np.sort(rng.integers(s * 1000, (s + 1) * 1000, k))
+                store.ingest_batch(
+                    SecondBatch(f"T{t}", arrive, rng.exponential(90.0, k), np.ones(k))
+                )
+        store.ingest_batch(
+            SecondBatch("T1", np.array([12_345, 12_900]), np.array([7.0, 3.5]), np.ones(2))
+        )
+        store.ingest_batch(SecondBatch("OUT", np.array([90_000]), np.array([1.0]), np.ones(1)))
+        ids = ["T0", "T1", "T2", "T3", "OUT", "GHOST"]
+        ts, te = 10, 40
+        observed = TimeSeries(np.ones(te - ts), start=ts)
+        est = SessionEstimator(SessionEstimationMode.RESPONSE_TIME).estimate(
+            store, ids, observed
+        )
+        total = np.zeros(te - ts)
+        for sql_id in ids:
+            tq = store.queries_in_window(sql_id, ts, te)
+            want = np.zeros(te - ts)
+            for a, r in zip(tq.arrive_ms, tq.response_ms):
+                want[a // 1000 - ts] += r / 1000.0
+            np.testing.assert_allclose(est.get(sql_id).values, want, rtol=1e-12, atol=1e-12)
+            total += want
+        np.testing.assert_allclose(est.total.values, total, rtol=1e-12)
+        assert set(est.per_template) == set(ids)
+        assert len(est.selected_buckets) == 0
